@@ -52,8 +52,12 @@ from .series import SeriesMatrix, load_series_csv, save_series_csv
 from .sim import gnar_simulate
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("GNAR_SEED", "0"))
+def _default_seed(parser: argparse.ArgumentParser) -> int:
+    text = os.environ.get("GNAR_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        parser.error(f"GNAR_SEED must be an integer, got {text!r}")
 
 
 def _fmt(v: float) -> str:
@@ -343,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Network autoregression: fit, simulate, forecast, and "
         "search over random networks.",
     )
+    seed = _default_seed(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_series_net(p):
@@ -381,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--seed",
         type=int,
-        default=_default_seed(),
+        default=seed,
         help="stream seed (default: GNAR_SEED or 0)",
     )
     p_sim.add_argument("--burn-in", type=int, default=50)
@@ -433,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--master-seed",
         type=int,
-        default=_default_seed(),
+        default=seed,
         help="first candidate seed (default: GNAR_SEED or 0)",
     )
     p_search.add_argument("--train-end", type=int, required=True)

@@ -8,13 +8,14 @@ Missing data enter in two distinct ways and are never imputed:
 
 * a row is dropped exactly when its response or any of the node's own lags
   is missing;
-* a neighbour sum with some members missing is repaired by recomputing the
-  connection weights with those members masked (weight 0, remainder
-  renormalised); a wholly unobserved stage gives regressor 0 and the row is
-  kept.
+* a neighbour sum with some members missing gives them weight 0 and
+  renormalises the rest; a wholly unobserved stage gives regressor 0 and
+  the row is kept.
 
-Masked weights are cached per missingness pattern, so long stretches that
-share a pattern cost one weight computation.
+The renormalisation is closed-form: with unmasked ``W[r, c]``,
+``W[r] = sum_c W[r, c]`` and observed indicator ``o``, a lag row ``x`` with
+gaps (set to 0) gives ``(x @ W[r, c].T) / (o @ W[r].T)``, 0 where that
+denominator is 0.  Gap-free rows keep ``x @ W[r, c].T``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import InsufficientDataError
 from .model import ModelSpec, node_group_index, param_count, parameter_names
 from .network import Network, WeightMap, weight_matrix
-from .series import SeriesMatrix
+from .series import SeriesMatrix, check_finite_cells
 
 
 @dataclass(eq=False)
@@ -77,31 +78,6 @@ def neighbour_regressor(values_at_lag, weights: WeightMap,
     return num / den if den > 0.0 else 0.0
 
 
-class _MaskedWeightCache:
-    """Masked weight matrices keyed by missingness pattern."""
-
-    def __init__(self, net: Network):
-        self.net = net
-        self._store: dict[bytes, dict[tuple[int, int], np.ndarray]] = {}
-
-    def matrices(self, missing_row: np.ndarray, max_stage: int):
-        key = missing_row.tobytes()
-        per_pattern = self._store.setdefault(key, {})
-        if missing_row.any():
-            mask = tuple(
-                int(i + 1) for i in np.flatnonzero(~missing_row)
-            )
-        else:
-            mask = None
-        for r in range(1, max_stage + 1):
-            for c in range(1, self.net.n_cov + 1):
-                if (r, c) not in per_pattern:
-                    per_pattern[(r, c)] = weight_matrix(
-                        self.net, r, c, mask=mask
-                    )
-        return per_pattern
-
-
 def build_design(vts: SeriesMatrix, net: Network,
                  spec: ModelSpec) -> DesignProblem:
     """Assemble the stacked regression problem for one series and network."""
@@ -117,6 +93,7 @@ def build_design(vts: SeriesMatrix, net: Network,
         raise ValueError("model and network disagree on covariate count")
     vals = vts.values
     n_times, n_nodes = vals.shape
+    check_finite_cells(vals, vts.node_names)
     p = spec.p
     if n_times <= p:
         raise InsufficientDataError(
@@ -133,36 +110,20 @@ def build_design(vts: SeriesMatrix, net: Network,
             "every candidate row has a missing response or own lag"
         )
 
-    cache = _MaskedWeightCache(net)
-    # stage regressors per lag: (n_block, s_j, C, N)
-    stage_reg: list[np.ndarray] = []
-    for j in range(1, p + 1):
-        s_j = spec.s[j - 1]
-        lv = lag_vals[j - 1]
-        out = np.zeros((n_block, s_j, spec.n_cov, n_nodes))
-        if s_j > 0:
-            miss = np.isnan(lv)
-            filled = np.where(miss, 0.0, lv)
-            patterns, inverse = np.unique(miss, axis=0, return_inverse=True)
-            for pi in range(patterns.shape[0]):
-                rows = inverse == pi
-                ws = cache.matrices(patterns[pi], s_j)
-                sub = filled[rows]
-                for r in range(1, s_j + 1):
-                    for c in range(1, spec.n_cov + 1):
-                        out[rows, r - 1, c - 1, :] = sub @ ws[(r, c)].T
-        stage_reg.append(out)
-
     m_total = param_count(spec, n_nodes)
     names = parameter_names(spec, n_nodes)
     if spec.alpha_mode == "per_group":
         gidx = node_group_index(spec, n_nodes)
         n_groups = int(gidx.max()) + 1
+    w = {(r, c): weight_matrix(net, r, c)
+         for r in range(1, spec.max_stage + 1)
+         for c in range(1, spec.n_cov + 1)}
     cols = np.zeros((n_block, n_nodes, m_total))
     col = 0
     node_range = np.arange(n_nodes)
     for j in range(1, p + 1):
-        own = np.where(np.isnan(lag_vals[j - 1]), 0.0, lag_vals[j - 1])
+        miss = np.isnan(lag_vals[j - 1])
+        own = np.where(miss, 0.0, lag_vals[j - 1])
         if spec.alpha_mode == "global":
             cols[:, :, col] = own
             col += 1
@@ -172,9 +133,19 @@ def build_design(vts: SeriesMatrix, net: Network,
         else:
             cols[:, node_range, col + gidx] = own
             col += n_groups
+        gap = miss.any(axis=1)
+        observed = (~miss[gap]).astype(float)
         for r in range(1, spec.s[j - 1] + 1):
+            den = observed @ sum(
+                w[(r, c)] for c in range(1, spec.n_cov + 1)
+            ).T
             for c in range(1, spec.n_cov + 1):
-                reg = stage_reg[j - 1][:, r - 1, c - 1, :]
+                reg = np.zeros((n_block, n_nodes))
+                reg[~gap] = own[~gap] @ w[(r, c)].T
+                num = own[gap] @ w[(r, c)].T
+                reg[gap] = np.divide(
+                    num, den, out=np.zeros_like(num), where=den > 0.0
+                )
                 if spec.alpha_mode == "per_group":
                     cols[:, node_range, col + gidx] = reg
                     col += n_groups
@@ -183,7 +154,9 @@ def build_design(vts: SeriesMatrix, net: Network,
                     col += 1
 
     keep_flat = kept.reshape(-1)
-    x = cols.reshape(n_block * n_nodes, m_total)[keep_flat]
+    x = cols.reshape(n_block * n_nodes, m_total)
+    if not keep_flat.all():
+        x = x[keep_flat]
     y = y0.reshape(-1)[keep_flat]
     t_ids = np.repeat(np.arange(p + 1, n_times + 1), n_nodes)
     node_ids = np.tile(np.arange(1, n_nodes + 1), n_block)

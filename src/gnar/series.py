@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import DataError
+
 
 @dataclass(eq=False)
 class SeriesMatrix:
@@ -78,22 +80,40 @@ def _format_cell(v: float) -> str:
     return format(v, ".17g")
 
 
+def check_finite_cells(values: np.ndarray, names: Sequence[str],
+                       line_of: Sequence[int] | None = None) -> None:
+    """Raise :class:`DataError` at the first ``+-inf`` cell; NaN is missing."""
+    infinite = np.argwhere(np.isinf(values))
+    if infinite.size:
+        t, i = infinite[0]
+        where = "" if line_of is None else f"line {line_of[t]}: "
+        raise DataError(
+            f"{where}series cell at time {t + 1}, node {names[i]!r} is "
+            f"{values[t, i]}; only finite values or missing cells are allowed"
+        )
+
+
 def load_series_csv(path) -> SeriesMatrix:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader]
     if not rows:
         raise ValueError("empty series file")
-    names = tuple(s.strip() for s in rows[0])
+    names = tuple(s.strip() for s in rows[0][1])
     data = []
-    for row in rows[1:]:
+    line_of = []
+    for line, row in rows[1:]:
         if not row:
             continue
         if len(row) != len(names):
             raise ValueError(
-                f"row has {len(row)} cells, header has {len(names)}"
+                f"line {line}: row has {len(row)} cells, header has "
+                f"{len(names)}"
             )
         data.append([_parse_cell(tok) for tok in row])
+        line_of.append(line)
     values = np.asarray(data, dtype=float).reshape(len(data), len(names))
+    check_finite_cells(values, names, line_of)
     return SeriesMatrix(values, names)
 
 

@@ -9,8 +9,8 @@ must produce identical paths, which the test suite checks; never collapse
 one into the other.
 
 Both start from ``p`` zero presample rows, run ``burn_in`` discarded steps,
-and draw innovations in time-major, node-minor order: at each time step one
-standard normal per node, node 1 first, scaled by that node's sigma.
+and draw all innovations in one call, in time-major, node-minor order: per
+time step one standard normal per node, node 1 first, scaled by its sigma.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ def gnar_simulate(net: Network, spec: ModelSpec, coef: CoefficientSet,
     b = beta_by_node(spec, coef, n_nodes)
     terms = _neighbour_terms(net, spec.max_stage)
     x = np.zeros((p + burn_in + n, n_nodes))
+    z = rng.gaussians((burn_in + n) * n_nodes).reshape(-1, n_nodes)
     for t in range(p, x.shape[0]):
-        z = rng.gaussians(n_nodes)
         for i in range(n_nodes):
             acc = 0.0
             for j in range(1, p + 1):
@@ -98,7 +98,7 @@ def gnar_simulate(net: Network, spec: ModelSpec, coef: CoefficientSet,
                         acc += b[j - 1][r - 1, c - 1, i] * float(
                             w @ lag_row[idx]
                         )
-            x[t, i] = acc + coef.sigma[i] * z[i]
+            x[t, i] = acc + coef.sigma[i] * z[t - p, i]
     return SeriesMatrix(x[p + burn_in:].copy(), net.node_names)
 
 
@@ -121,9 +121,9 @@ def var_simulate(phis: Sequence[np.ndarray], sigma, n: int, rng: RngStream,
         raise ValueError(f"sigma must have shape ({n_nodes},)")
     p = len(phis)
     x = np.zeros((p + burn_in + n, n_nodes))
+    u = sigma * rng.gaussians((burn_in + n) * n_nodes).reshape(-1, n_nodes)
     for t in range(p, x.shape[0]):
-        u = sigma * rng.gaussians(n_nodes)
-        acc = u
+        acc = u[t - p]
         for k, phi in enumerate(phis, start=1):
             acc = acc + phi @ x[t - k]
         x[t] = acc

@@ -91,6 +91,19 @@ def test_simulate_seed_env_variable_supplies_default(workdir, monkeypatch):
     assert (workdir / "env.csv").read_bytes() == explicit.read_bytes()
 
 
+def test_malformed_seed_env_variable_is_a_usage_error(workdir, monkeypatch,
+                                                     capsys):
+    monkeypatch.setenv("GNAR_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "simulate", "--net", str(workdir / "net.json"),
+            "--spec", str(workdir / "spec.json"),
+            "--coef", str(workdir / "coef.json"), "--n", "20",
+        ])
+    assert exc.value.code == 2
+    assert "GNAR_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+
+
 def test_simulate_unstable_coefficients_warn_on_stderr(workdir, capsys):
     spec = ModelSpec(p=1, s=(1,))
     coef = make_coefficients(spec, 5, alpha=[0.2], beta=[[0.85]], sigma=1.0)
@@ -216,6 +229,37 @@ def test_missing_input_file_gives_structured_error(workdir, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "FileNotFoundError"
+
+
+def test_infinite_series_cell_is_a_data_error_with_its_line(workdir, capfd):
+    sim = _simulate(workdir)
+    lines = sim.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[2] = "inf"
+    lines[5] = ",".join(cells)
+    bad = workdir / "inf.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main([
+        "fit", "--series", str(bad), "--net", str(workdir / "net.json"),
+        "--p", "1", "--s", "1",
+    ])
+    assert rc == 1
+    out, err = capfd.readouterr()
+    blob = json.loads(err)["error"]
+    assert blob["type"] == "DataError"
+    assert "line 6" in blob["message"]
+    assert "time 5, node 'C'" in blob["message"]
+    assert "DLASCL" not in out + err
+
+
+def test_ragged_series_row_names_its_line(workdir):
+    sim = _simulate(workdir)
+    lines = sim.read_text().splitlines()
+    lines[3] += ",1.0"
+    bad = workdir / "ragged.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="line 4: row has 6 cells"):
+        load_series_csv(bad)
 
 
 def test_column_name_mismatch_names_the_offenders(workdir, capsys):

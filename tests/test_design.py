@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gnar import (
+    DataError,
     Edge,
     InsufficientDataError,
     ModelSpec,
@@ -21,8 +22,9 @@ from gnar import (
     make_coefficients,
     neighbour_regressor,
     to_var_matrices,
+    weight_matrix,
 )
-from conftest import make_five_net, random_instance
+from conftest import make_five_net, random_instance, random_network
 
 
 def simulated_series(n=200, seed=0):
@@ -171,6 +173,68 @@ def test_wholly_missing_stage_contributes_zero_but_keeps_row():
     )
     assert row.size == 1
     assert problem.x[row[0], 1] == 0.0
+
+
+def test_infinite_cell_raises_naming_time_and_node():
+    net, spec, vts = simulated_series(n=30)
+    values = vts.values.copy()
+    values[6, 3] = -np.inf
+    with pytest.raises(DataError, match=r"time 7, node 'D'"):
+        build_design(SeriesMatrix(values, vts.node_names), net, spec)
+
+
+def _stage_column_layout(spec):
+    """``(column, lag, stage, covariate)`` of each global-mode beta column."""
+    layout, col = [], 0
+    for j in range(1, spec.p + 1):
+        col += 1  # alpha_j
+        for r in range(1, spec.s[j - 1] + 1):
+            for c in range(1, spec.n_cov + 1):
+                layout.append((col, j, r, c))
+                col += 1
+    return layout
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.booleans(),
+       st.integers(min_value=1, max_value=2),
+       st.sampled_from([0.05, 0.2, 0.4]))
+def test_stage_columns_match_masked_connection_weights(seed, directed, n_cov,
+                                                       miss):
+    rng = RngStream(seed)
+    n_nodes = 3 + int(rng.uniform() * 5)
+    net = random_network(rng, n_nodes, n_cov=n_cov, directed=directed)
+    p = 1 + int(rng.uniform() * 2)
+    # stages up to 4 on at most 7 nodes leave many deeper stages empty
+    spec = ModelSpec(p=p, s=tuple(1 + int(rng.uniform() * 4)
+                                  for _ in range(p)), n_cov=n_cov)
+    n_times = 16
+    full = rng.gaussians(n_times * n_nodes).reshape(n_times, n_nodes)
+    layout = _stage_column_layout(spec)
+
+    # complete panel: the plain unmasked product, bit for bit
+    problem = build_design(SeriesMatrix(full, net.node_names), net, spec)
+    want = problem.x.copy()
+    for col, j, r, c in layout:
+        lag = full[p - j: n_times - j]
+        want[:, col] = (lag @ weight_matrix(net, r, c).T).reshape(-1)
+    assert problem.x.tobytes() == want.tobytes()
+
+    # random gaps, plus one time row observed at a single node so that
+    # node's every stage is wholly unobserved there
+    values = full.copy()
+    values[rng.uniforms(values.size).reshape(values.shape) < miss] = np.nan
+    t_hidden = int(rng.uniform() * n_times)
+    keep = int(rng.uniform() * n_nodes)
+    values[t_hidden, np.arange(n_nodes) != keep] = np.nan
+    problem = build_design(SeriesMatrix(values, net.node_names), net, spec)
+    for row, (t, i) in enumerate(problem.row_index):
+        for col, j, r, c in layout:
+            lag_row = values[t - 1 - j]
+            observed = tuple(int(q) + 1
+                             for q in np.flatnonzero(~np.isnan(lag_row)))
+            wm = connection_weights(net, int(i), r, mask=observed)
+            oracle = neighbour_regressor(lag_row, wm, cov=c)
+            assert abs(problem.x[row, col] - oracle) <= 1e-12
 
 
 def test_all_rows_dropped_raises():
