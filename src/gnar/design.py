@@ -25,8 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
-from .model import ModelSpec, node_group_index, param_count, parameter_names
-from .network import Network, WeightMap, weight_matrix
+from .model import (
+    ModelSpec,
+    node_group_index,
+    param_count,
+    parameter_names,
+    stage_weights,
+)
+# weight_matrix stays a module name: the layer tracer in perfbench/spans.py
+# patches it here
+from .network import Network, WeightMap, weight_matrix  # noqa: F401
 from .series import SeriesMatrix, check_finite_cells
 
 
@@ -115,9 +123,7 @@ def build_design(vts: SeriesMatrix, net: Network,
     if spec.alpha_mode == "per_group":
         gidx = node_group_index(spec, n_nodes)
         n_groups = int(gidx.max()) + 1
-    w = {(r, c): weight_matrix(net, r, c)
-         for r in range(1, spec.max_stage + 1)
-         for c in range(1, spec.n_cov + 1)}
+    w = stage_weights(net, spec)
     cols = np.zeros((n_block, n_nodes, m_total))
     col = 0
     node_range = np.arange(n_nodes)
@@ -171,17 +177,3 @@ def build_design(vts: SeriesMatrix, net: Network,
         n_nodes=n_nodes,
     )
 
-
-def dump_design_csv(problem: DesignProblem, path) -> None:
-    """Write ``(t, node, y, regressors...)`` rows for inspection."""
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "node", "y", *problem.column_names])
-        for k in range(problem.n_rows):
-            t, i = problem.row_index[k]
-            writer.writerow(
-                [int(t), int(i), format(problem.y[k], ".17g")]
-                + [format(v, ".17g") for v in problem.x[k]]
-            )

@@ -204,26 +204,6 @@ def fit(vts: SeriesMatrix, net: Network, spec: ModelSpec) -> FitResult:
     )
 
 
-def innovation_cov(fit_result: FitResult) -> np.ndarray:
-    """Residual covariance ``U'U / T_eff`` with missing cells as zero."""
-    p = fit_result.spec.p
-    resid = fit_result.residuals[p:]
-    u = np.where(np.isnan(resid), 0.0, resid)
-    return u.T @ u / fit_result.t_eff
-
-
-def bic(fit_result: FitResult) -> float:
-    return bic_value(fit_result.sigma_u_hat, fit_result.t_eff, fit_result.m)
-
-
-def aic(fit_result: FitResult) -> float:
-    return aic_value(fit_result.sigma_u_hat, fit_result.t_eff, fit_result.m)
-
-
-def loglik(fit_result: FitResult) -> float:
-    return loglik_value(fit_result.sigma_u_hat, fit_result.t_eff)
-
-
 def gls_restricted_estimate(vts: SeriesMatrix, net: Network, spec: ModelSpec,
                             sigma_tilde=None) -> np.ndarray:
     """Closed-form restricted estimator for complete data.

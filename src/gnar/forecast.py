@@ -1,10 +1,11 @@
 """Iterated conditional-expectation forecasts.
 
-Each step applies the per-node equation with the innovation set to zero and
-appends the predicted row to the working history, so step ``k`` conditions
-on steps ``1..k-1``.  Missing history cells are tolerated in neighbour sums
-(weights renormalise over the observed members) but a missing own lag is an
-error: a node cannot be projected without its own recent values.
+Each step applies the node equation to all nodes at once with the
+innovation set to zero and appends the predicted row to the working
+history, so step ``k`` conditions on steps ``1..k-1``.  The last ``p``
+history rows must be complete and finite: every cell there is some node's
+own lag, and a node cannot be projected without its own recent values.
+Earlier rows are ignored, so they may hold missing cells.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError, InsufficientDataError
-from .model import CoefficientSet, ModelSpec, alpha_by_node, beta_by_node
-from .network import Network, connection_weights
+from .model import CoefficientSet, ModelSpec, _node_equation
+# connection_weights stays a module name: the layer tracer in
+# perfbench/spans.py patches it here
+from .network import Network, connection_weights  # noqa: F401
 from .series import SeriesMatrix
 
 
@@ -32,81 +35,29 @@ def predict(net: Network, spec: ModelSpec, coef: CoefficientSet,
     """Forecast ``h`` steps ahead; returns an ``(h, N)`` matrix."""
     if h < 1:
         raise ValueError("forecast horizon must be >= 1")
-    n_nodes = net.n_nodes
-    if coef.n_nodes != n_nodes:
-        raise ValueError("coefficient set and network disagree on node count")
-    if spec.n_cov != net.n_cov:
-        raise ValueError("model and network disagree on covariate count")
-    hist = _history_array(history, n_nodes)
+    step = _node_equation(net, spec, coef)
+    hist = _history_array(history, net.n_nodes)
     p = spec.p
     if hist.shape[0] < p:
         raise InsufficientDataError(
             f"history has {hist.shape[0]} rows; order {p} needs at least {p}"
         )
-    a = alpha_by_node(spec, coef, n_nodes)
-    b = beta_by_node(spec, coef, n_nodes)
-    # masked weight vectors per (pattern, node, stage), split by covariate
-    weight_cache: dict[tuple, list[list[dict]]] = {}
-
-    def stage_terms(missing: np.ndarray):
-        key = tuple(np.flatnonzero(missing))
-        cached = weight_cache.get(key)
-        if cached is not None:
-            return cached
-        mask = None if not missing.any() else tuple(
-            int(q + 1) for q in np.flatnonzero(~missing)
+    lags = hist[-p:][::-1]
+    bad = ~np.isfinite(lags)
+    if bad.any():
+        i = int(np.flatnonzero(bad.any(axis=0))[0])
+        j = int(np.flatnonzero(bad[:, i])[0]) + 1
+        cell = lags[j - 1, i]
+        state = "missing" if np.isnan(cell) else f"not finite ({cell})"
+        raise DataError(
+            f"own lag {j} of node {net.node_names[i]} is {state} "
+            "at forecast step 1"
         )
-        per_node = []
-        for i in range(1, n_nodes + 1):
-            per_stage = []
-            for r in range(1, spec.max_stage + 1):
-                wm = connection_weights(net, i, r, mask=mask)
-                by_cov: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-                for c in range(1, net.n_cov + 1):
-                    idx = np.array(
-                        [q - 1 for (q, cov) in wm.weights if cov == c],
-                        dtype=int,
-                    )
-                    w = np.array(
-                        [wm.weights[(q + 1, c)] for q in idx], dtype=float
-                    )
-                    if idx.size:
-                        by_cov[c] = (idx, w)
-                per_stage.append(by_cov)
-            per_node.append(per_stage)
-        weight_cache[key] = per_node
-        return per_node
-
-    window = [hist[k] for k in range(hist.shape[0] - p, hist.shape[0])]
-    out = np.empty((h, n_nodes))
-    for step in range(h):
-        new = np.empty(n_nodes)
-        lag_terms = []
-        for j in range(1, p + 1):
-            row = window[-j]
-            lag_terms.append((row, stage_terms(np.isnan(row))))
-        for i in range(n_nodes):
-            acc = 0.0
-            for j in range(1, p + 1):
-                row, terms = lag_terms[j - 1]
-                own = row[i]
-                if np.isnan(own):
-                    raise DataError(
-                        f"own lag {j} of node {net.node_names[i]} is missing "
-                        f"at forecast step {step + 1}"
-                    )
-                acc += a[j - 1, i] * own
-                for r in range(1, spec.s[j - 1] + 1):
-                    for c, (idx, w) in terms[i][r - 1].items():
-                        vals = row[idx]
-                        obs = ~np.isnan(vals)
-                        acc += b[j - 1][r - 1, c - 1, i] * float(
-                            w[obs] @ vals[obs]
-                        )
-            new[i] = acc
-        window.append(new)
-        window = window[-p:]
-        out[step] = new
+    lags = list(lags)
+    out = np.empty((h, net.n_nodes))
+    for k in range(h):
+        out[k] = step(lags)
+        lags = [out[k], *lags[:-1]]
     return out
 
 

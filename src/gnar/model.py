@@ -257,6 +257,51 @@ def stationarity_margin(spec: ModelSpec,
     )
 
 
+def stage_weights(net: Network,
+                  spec: ModelSpec) -> dict[tuple[int, int], np.ndarray]:
+    """Unmasked ``W[r, c] = weight_matrix(net, r, c)`` for every stage and
+    covariate channel the model uses, keyed by ``(r, c)``."""
+    return {
+        (r, c): weight_matrix(net, r, c)
+        for r in range(1, spec.max_stage + 1)
+        for c in range(1, spec.n_cov + 1)
+    }
+
+
+def _node_equation(net: Network, spec: ModelSpec, coef: CoefficientSet):
+    """The node equation without its innovation, for all nodes at once.
+
+    Returns ``step(lags)`` with ``lags[j - 1] = x_{t-j}``, computing
+    ``sum_j a_j * x_{t-j} + sum_{j,r,c} b_{j,r,c} * (W[r, c] @ x_{t-j})``
+    with per-node ``a``, ``b``: a stage-by-stage recursion that never forms
+    the lag matrices of :func:`to_var_matrices`.
+    """
+    n = net.n_nodes
+    if coef.n_nodes != n:
+        raise ValueError("coefficient set and network disagree on node count")
+    if spec.n_cov != net.n_cov:
+        raise ValueError("model and network disagree on covariate count")
+    a = alpha_by_node(spec, coef, n)
+    b = beta_by_node(spec, coef, n)
+    w = stage_weights(net, spec)
+    terms = [
+        (a[j], [(b[j][r - 1, c - 1], w[(r, c)])
+                for r in range(1, spec.s[j] + 1)
+                for c in range(1, spec.n_cov + 1)])
+        for j in range(spec.p)
+    ]
+
+    def step(lags) -> np.ndarray:
+        acc = np.zeros(n)
+        for (a_j, neighbours), row in zip(terms, lags):
+            acc = acc + a_j * row
+            for b_jrc, w_rc in neighbours:
+                acc = acc + b_jrc * (w_rc @ row)
+        return acc
+
+    return step
+
+
 def to_var_matrices(net: Network, spec: ModelSpec,
                     coef: CoefficientSet) -> list[np.ndarray]:
     """Lag matrices ``phi_1..phi_p`` of the equivalent linear recursion:
@@ -268,17 +313,13 @@ def to_var_matrices(net: Network, spec: ModelSpec,
         raise ValueError("model and network disagree on covariate count")
     a = alpha_by_node(spec, coef, n)
     b = beta_by_node(spec, coef, n)
-    w_cache = {
-        (r, c): weight_matrix(net, r, c)
-        for r in range(1, spec.max_stage + 1)
-        for c in range(1, spec.n_cov + 1)
-    }
+    w = stage_weights(net, spec)
     phis = []
     for j in range(spec.p):
         phi = np.diag(a[j])
         for r in range(1, spec.s[j] + 1):
             for c in range(1, spec.n_cov + 1):
-                phi = phi + b[j][r - 1, c - 1][:, None] * w_cache[(r, c)]
+                phi = phi + b[j][r - 1, c - 1][:, None] * w[(r, c)]
         phis.append(phi)
     return phis
 
@@ -325,11 +366,7 @@ def constraint_matrix(net: Network, spec: ModelSpec) -> np.ndarray:
     labels = group_labels(spec)
     if spec.alpha_mode == "per_group":
         gidx = node_group_index(spec, n)
-    w_cache = {
-        (r, c): weight_matrix(net, r, c)
-        for r in range(1, spec.max_stage + 1)
-        for c in range(1, spec.n_cov + 1)
-    }
+    w = stage_weights(net, spec)
     r_mat = np.zeros((spec.p * n * n, m_total))
     col = 0
     for j in range(spec.p):
@@ -352,12 +389,11 @@ def constraint_matrix(net: Network, spec: ModelSpec) -> np.ndarray:
                 put(np.diag((gidx == g).astype(float)))
         for r in range(1, spec.s[j] + 1):
             for c in range(1, spec.n_cov + 1):
-                w = w_cache[(r, c)]
                 if spec.alpha_mode == "per_group":
                     for g in range(len(labels)):
-                        put(w * (gidx == g)[:, None])
+                        put(w[(r, c)] * (gidx == g)[:, None])
                 else:
-                    put(w)
+                    put(w[(r, c)])
     return r_mat
 
 

@@ -273,18 +273,15 @@ def connection_weights(net: Network, i: int, r: int,
     return WeightMap(origin=i, stage=r, weights=weights)
 
 
-def weight_matrix(net: Network, r: int, c: int,
-                  mask: Iterable[int] | None = None,
-                  mask_mode: MaskMode = "reweight") -> np.ndarray:
-    """Matrix ``W`` with ``W[i-1, q-1]`` the weight of ``q`` for origin ``i``
-    at stage ``r`` restricted to covariate channel ``c``."""
+def weight_matrix(net: Network, r: int, c: int) -> np.ndarray:
+    """Matrix ``W`` with ``W[i-1, q-1]`` the unmasked weight of ``q`` for
+    origin ``i`` at stage ``r`` restricted to covariate channel ``c``."""
     if not 1 <= c <= net.n_cov:
         raise ValueError(f"covariate {c} outside 1..{net.n_cov}")
     n = net.n_nodes
     w = np.zeros((n, n))
     for i in range(1, n + 1):
-        wm = connection_weights(net, i, r, mask=mask, mask_mode=mask_mode)
-        for (q, cov), val in wm.weights.items():
+        for (q, cov), val in connection_weights(net, i, r).weights.items():
             if cov == c:
                 w[i - 1, q - 1] = val
     return w

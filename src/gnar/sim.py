@@ -1,12 +1,13 @@
 """Simulation of network autoregressions.
 
 Two deliberately independent recursions are provided.  ``gnar_simulate``
-iterates the per-node equation, summing each node's own lags and weighted
-stage-r neighbour averages.  ``var_simulate`` iterates the matrix recursion
-``x_t = phi_1 x_{t-1} + ... + phi_p x_{t-p} + u_t``.  Under matching
-coefficients (see :func:`gnar.model.to_var_matrices`) and a shared seed they
-must produce identical paths, which the test suite checks; never collapse
-one into the other.
+iterates the node equation over the stage weight matrices, one vector step
+per time point: ``x_t = sum_j a_j * x_{t-j} + sum_{j,r,c} b_{j,r,c} *
+(W[r, c] @ x_{t-j}) + sigma * z_t``.  ``var_simulate`` iterates the matrix
+recursion ``x_t = phi_1 x_{t-1} + ... + phi_p x_{t-p} + u_t``.  Under
+matching coefficients (see :func:`gnar.model.to_var_matrices`) and a shared
+seed they must produce the same paths up to float summation order, which
+the test suite checks; never route ``gnar_simulate`` through the ``phi_j``.
 
 Both start from ``p`` zero presample rows, run ``burn_in`` discarded steps,
 and draw all innovations in one call, in time-major, node-minor order: per
@@ -24,11 +25,12 @@ from .errors import StationarityWarning
 from .model import (
     CoefficientSet,
     ModelSpec,
-    alpha_by_node,
-    beta_by_node,
+    _node_equation,
     stationarity_margin,
 )
-from .network import Network, connection_weights
+# connection_weights stays a module name: the layer tracer in
+# perfbench/spans.py patches it here
+from .network import Network, connection_weights  # noqa: F401
 from .rng import RngStream
 from .series import SeriesMatrix
 
@@ -40,37 +42,11 @@ def _check_sim_args(n: int, burn_in: int) -> None:
         raise ValueError("burn-in must be >= 0")
 
 
-def _neighbour_terms(net: Network, max_stage: int):
-    """Per (node, stage, covariate): member indices and weights, 0-based."""
-    terms: list[list[dict[int, tuple[np.ndarray, np.ndarray]]]] = []
-    for i in range(1, net.n_nodes + 1):
-        per_stage = []
-        for r in range(1, max_stage + 1):
-            wm = connection_weights(net, i, r)
-            by_cov: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            for c in range(1, net.n_cov + 1):
-                idx = np.array(
-                    [q - 1 for (q, cov) in wm.weights if cov == c], dtype=int
-                )
-                w = np.array(
-                    [wm.weights[(q + 1, c)] for q in idx], dtype=float
-                )
-                if idx.size:
-                    by_cov[c] = (idx, w)
-            per_stage.append(by_cov)
-        terms.append(per_stage)
-    return terms
-
-
 def gnar_simulate(net: Network, spec: ModelSpec, coef: CoefficientSet,
                   n: int, rng: RngStream, burn_in: int = 50) -> SeriesMatrix:
-    """Simulate ``n`` observations by iterating the per-node equation."""
+    """Simulate ``n`` observations by iterating the node equation."""
     _check_sim_args(n, burn_in)
-    n_nodes = net.n_nodes
-    if coef.n_nodes != n_nodes:
-        raise ValueError("coefficient set and network disagree on node count")
-    if spec.n_cov != net.n_cov:
-        raise ValueError("model and network disagree on covariate count")
+    step = _node_equation(net, spec, coef)
     check = stationarity_margin(spec, coef)
     if not check.sufficient_condition_holds:
         warnings.warn(
@@ -82,23 +58,11 @@ def gnar_simulate(net: Network, spec: ModelSpec, coef: CoefficientSet,
             stacklevel=2,
         )
     p = spec.p
-    a = alpha_by_node(spec, coef, n_nodes)
-    b = beta_by_node(spec, coef, n_nodes)
-    terms = _neighbour_terms(net, spec.max_stage)
-    x = np.zeros((p + burn_in + n, n_nodes))
-    z = rng.gaussians((burn_in + n) * n_nodes).reshape(-1, n_nodes)
+    x = np.zeros((p + burn_in + n, net.n_nodes))
+    u = coef.sigma * rng.gaussians((burn_in + n) * net.n_nodes).reshape(
+        -1, net.n_nodes)
     for t in range(p, x.shape[0]):
-        for i in range(n_nodes):
-            acc = 0.0
-            for j in range(1, p + 1):
-                lag_row = x[t - j]
-                acc += a[j - 1, i] * lag_row[i]
-                for r in range(1, spec.s[j - 1] + 1):
-                    for c, (idx, w) in terms[i][r - 1].items():
-                        acc += b[j - 1][r - 1, c - 1, i] * float(
-                            w @ lag_row[idx]
-                        )
-            x[t, i] = acc + coef.sigma[i] * z[t - p, i]
+        x[t] = step(x[t - p:t][::-1]) + u[t - p]
     return SeriesMatrix(x[p + burn_in:].copy(), net.node_names)
 
 
@@ -132,8 +96,3 @@ def var_simulate(phis: Sequence[np.ndarray], sigma, n: int, rng: RngStream,
     )
     return SeriesMatrix(x[p + burn_in:].copy(), names)
 
-
-def simulate_from_fit(fit, net: Network, n: int, rng: RngStream,
-                      burn_in: int = 50) -> SeriesMatrix:
-    """Simulate from fitted coefficients with residual-estimated sigma."""
-    return gnar_simulate(net, fit.spec, fit.coef, n, rng, burn_in=burn_in)

@@ -1,7 +1,5 @@
 """Stacked-regression construction and its missing-data conventions."""
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +14,6 @@ from gnar import (
     SeriesMatrix,
     build_design,
     connection_weights,
-    dump_design_csv,
     gamma_from_coefficients,
     gnar_simulate,
     make_coefficients,
@@ -289,15 +286,3 @@ def test_relabeling_equivariance():
         assert np.allclose(a.x[sl], b.x[sl][pos], atol=1e-12)
         assert np.allclose(a.y[sl], b.y[sl][pos], atol=0)
 
-
-def test_dump_design_csv(tmp_path):
-    net, spec, vts = simulated_series(n=20)
-    problem = build_design(vts, net, spec)
-    path = tmp_path / "design.csv"
-    dump_design_csv(problem, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["t", "node", "y", "alpha1", "beta1.1", "alpha2",
-                       "beta2.1"]
-    assert len(rows) == problem.n_rows + 1
-    assert float(rows[1][2]) == problem.y[0]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import make_five_net, random_instance
+from hypothesis import given, strategies as st
 
 from gnar import (
     DataError,
@@ -35,6 +36,20 @@ def test_one_step_forecast_is_the_lag_polynomial():
         got = predict(net, spec, coef, hist, h=1)
         assert got.shape == (1, net.n_nodes)
         assert np.max(np.abs(got[0] - expected)) < 1e-12
+
+
+@given(st.integers(min_value=0, max_value=200))
+def test_predict_equals_var_route(seed):
+    alpha_mode = ("global", "per_node", "per_group")[seed % 3]
+    net, spec, coef = random_instance(seed, n_cov=1 + seed % 2,
+                                      alpha_mode=alpha_mode)
+    hist = _history(net, spec, seed + 300, extra_rows=1)
+    phis = to_var_matrices(net, spec, coef)
+    x = list(hist)
+    for _ in range(4):
+        x.append(sum(phi @ x[-j] for j, phi in enumerate(phis, start=1)))
+    got = predict(net, spec, coef, hist, h=4)
+    assert np.max(np.abs(got - np.array(x[-4:]))) < 1e-12
 
 
 def test_pure_autoregression_decays_geometrically():
@@ -107,6 +122,15 @@ def test_missing_cell_in_the_forecast_window_is_an_error():
     broken[-2, 4] = np.nan
     with pytest.raises(DataError, match="own lag 2 of node E"):
         predict(net, spec, coef, broken, h=3)
+    broken = hist.copy()
+    broken[-1, 3] = np.nan
+    broken[-2, 1] = np.nan
+    with pytest.raises(DataError, match="own lag 2 of node B is missing"):
+        predict(net, spec, coef, broken, h=2)
+    broken = hist.copy()
+    broken[-1, 0] = np.inf
+    with pytest.raises(DataError, match="own lag 1 of node A is not finite"):
+        predict(net, spec, coef, broken, h=1)
 
 
 def test_missing_cells_before_the_window_are_ignored():

@@ -309,8 +309,9 @@ def test_weight_matrix_row_sums_zero_or_one():
 
 
 def test_weight_matrix_masked(five_net):
-    w = weight_matrix(five_net, 1, 1, mask=(2, 3, 4, 5))
-    assert np.allclose(w[3], [0, 0.5, 0.5, 0, 0])
+    # weight_matrix is unmasked; masked rows come from connection_weights
+    wm = connection_weights(five_net, 4, 1, mask=(2, 3, 4, 5))
+    assert wm.node_weights() == pytest.approx({1: 0.0, 2: 0.5, 3: 0.5})
     with pytest.raises(ValueError):
         weight_matrix(five_net, 1, 2)
 

@@ -16,10 +16,8 @@ from gnar import (
     RngStream,
     SeriesMatrix,
     StationarityWarning,
-    fit,
     gnar_simulate,
     make_coefficients,
-    simulate_from_fit,
     to_var_matrices,
     var_simulate,
 )
@@ -155,13 +153,3 @@ def test_stationary_runs_stay_bounded():
         assert np.isfinite(x.values).all()
         assert np.max(np.abs(x.values)) < 1e4
 
-
-def test_simulate_from_fit_round_trip():
-    net, spec, coef = stationary_example()
-    data = gnar_simulate(net, spec, coef, n=400, rng=RngStream(17))
-    fitted = fit(data, net, spec)
-    resim = simulate_from_fit(fitted, net, n=200, rng=RngStream(18))
-    assert resim.values.shape == (200, 5)
-    assert not np.isnan(resim.values).any()
-    with pytest.raises(ValueError):
-        simulate_from_fit(fitted, net, n=0, rng=RngStream(18))
